@@ -27,6 +27,20 @@ fn bench_fsm(c: &mut Criterion) {
         b.iter(|| DetectionFsm::from_set(black_box(&set)))
     });
 
+    // The §V-B sweep's regime: IVN sizes 150–450, FSM of a mid-list
+    // member. Build includes the rank table; the leaf tally is the sweep's
+    // whole-identifier-space check.
+    let ivn = sample_list(300);
+    let ivn_set = detection_range(&ivn, ivn.len() / 2);
+    c.bench_function("fsm/build_300_ecus", |b| {
+        b.iter(|| DetectionFsm::from_set(black_box(&ivn_set)))
+    });
+    let ivn_ranks = ivn_set.ranks();
+    let ivn_fsm = DetectionFsm::from_ranks(&ivn_ranks);
+    c.bench_function("fsm/leaf_tally", |b| {
+        b.iter(|| black_box(&ivn_fsm).tally(black_box(&ivn_ranks)))
+    });
+
     c.bench_function("fsm/step_single_bit", |b| {
         let mut cursor = fsm.start();
         b.iter(|| {

@@ -15,6 +15,11 @@
 //!             [--detectors <name|all>] # detector selection (ids bake-off)
 //! ```
 //!
+//! An unknown artifact name or flag, or a value flag without its value,
+//! is a usage error: a message on stderr and exit status 2. When stdout
+//! is a closed pipe (`experiments detection | head -3`) the run ends
+//! quietly with exit 0.
+//!
 //! `attacks` runs the adversary zoo (`bench::attackzoo`): every attack
 //! variant of `can_attacks::registry` — bit-level stuff-bit overwrite,
 //! mid-frame error flags, frame truncation, adaptive racing, ghost
@@ -117,9 +122,132 @@ use mcu::{ARDUINO_DUE, NXP_S32K144};
 use michican::prevention;
 use michican::Scenario;
 
+/// Artifact names the runner accepts (`all` runs every one of them).
+const ARTIFACTS: &[&str] = &[
+    "all",
+    "table1",
+    "fig1a",
+    "fig1b",
+    "fig2",
+    "fig4b",
+    "detection",
+    "table2",
+    "table3",
+    "fig6",
+    "multi_attacker",
+    "cpu",
+    "bus_load",
+    "on_vehicle",
+    "ids_latency",
+    "feasibility",
+    "availability",
+    "faults",
+    "attacks",
+    "ids",
+];
+
+/// Flags of the artifact runner that take a value.
+const VALUE_FLAGS: &[&str] = &[
+    "--shards",
+    "-j",
+    "--artifacts",
+    "--metrics-out",
+    "--journal-out",
+    "--attacks",
+    "--detectors",
+];
+
+/// Flags of the artifact runner that take no value.
+const SWITCHES: &[&str] = &["--full", "--fast", "--packed"];
+
+/// Flags of `experiments sweep` that take a value.
+const SWEEP_VALUE_FLAGS: &[&str] = &[
+    "--shards",
+    "-j",
+    "--dir",
+    "--resume",
+    "--workload",
+    "--replicas",
+    "--run-ms",
+    "--cells",
+    "--cell-work",
+    "--seed",
+    "--chunk",
+    "--max-attempts",
+    "--timeout-ms",
+    "--backoff-ms",
+    "--max-rss-mb",
+    "--progress-out",
+    "--heartbeat-secs",
+    "--chaos-panic",
+    "--chaos-hang",
+    "--chaos-hang-ms",
+    "--stop-after-chunks",
+];
+
+/// Flags of `experiments sweep` that take no value.
+const SWEEP_SWITCHES: &[&str] = &["--fast"];
+
+/// The positional arguments of `args`, or an error naming the first
+/// unknown flag or the first value flag given without its value.
+fn positionals<'a>(
+    args: &'a [String],
+    value_flags: &[&str],
+    switches: &[&str],
+) -> Result<Vec<&'a str>, String> {
+    let mut names = Vec::new();
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        if value_flags.contains(&arg.as_str()) {
+            iter.next().ok_or(format!("{arg} needs a value"))?;
+        } else if arg.starts_with('-') && !switches.contains(&arg.as_str()) {
+            return Err(format!("unknown flag {arg}"));
+        } else if !arg.starts_with('-') {
+            names.push(arg.as_str());
+        }
+    }
+    Ok(names)
+}
+
+/// Reports a command-line error and exits with the usage status 2.
+fn usage_error(message: String) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2);
+}
+
+/// This binary's `print!`: the report goes to stdout through [`emit`].
+macro_rules! print {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// This binary's `println!`: the report goes to stdout through [`emit`].
+macro_rules! println {
+    () => { emit(format_args!("\n")) };
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Writes report text to stdout. Once stdout is a closed pipe
+/// (`experiments detection | head -3`) the run ends quietly with exit 0;
+/// any other write error exits 1.
+fn emit(text: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(text) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("sweep") {
+        match positionals(&args[1..], SWEEP_VALUE_FLAGS, SWEEP_SWITCHES) {
+            Ok(names) if names.is_empty() => {}
+            Ok(names) => usage_error(format!("unexpected argument {}", names[0])),
+            Err(message) => usage_error(message),
+        }
         match sweep_command(&args[1..]) {
             Ok(()) => return,
             Err(message) => {
@@ -128,13 +256,17 @@ fn main() {
             }
         }
     }
-    let (shards, args) = match parse_shards(&args) {
-        Ok(parsed) => parsed,
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }
+    let names = positionals(&args, VALUE_FLAGS, SWITCHES).unwrap_or_else(|e| usage_error(e));
+    let which = match names[..] {
+        [] => "all",
+        [name] if ARTIFACTS.contains(&name) => name,
+        [name] => usage_error(format!(
+            "unknown artifact {name} (one of: {})",
+            ARTIFACTS.join(" ")
+        )),
+        [_, extra, ..] => usage_error(format!("unexpected argument {extra}: one artifact per run")),
     };
+    let (shards, args) = parse_shards(&args).unwrap_or_else(|e| usage_error(e));
     let full = args.iter().any(|a| a == "--full");
     let mode = if args.iter().any(|a| a == "--packed") {
         bench::runner::SimMode::Packed
@@ -143,55 +275,16 @@ fn main() {
     } else {
         bench::runner::SimMode::Lockstep
     };
-    let artifacts: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--artifacts")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let metrics_out: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--metrics-out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let journal_out: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--journal-out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let attack_selection: String = args
-        .iter()
-        .position(|a| a == "--attacks")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
-    let detector_selection: String = args
-        .iter()
-        .position(|a| a == "--detectors")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
-    let mut skip_next = false;
-    let which = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--artifacts"
-                || *a == "--metrics-out"
-                || *a == "--journal-out"
-                || *a == "--attacks"
-                || *a == "--detectors"
-            {
-                skip_next = true;
-                return false;
-            }
-            true
-        })
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
+    let value = |flag: &str| {
+        args.iter()
+            .position(|a| a == flag)
+            .and_then(|i| args.get(i + 1))
+    };
+    let artifacts: Option<PathBuf> = value("--artifacts").map(PathBuf::from);
+    let metrics_out: Option<PathBuf> = value("--metrics-out").map(PathBuf::from);
+    let journal_out: Option<PathBuf> = value("--journal-out").map(PathBuf::from);
+    let attack_selection = value("--attacks").map_or("all", String::as_str);
+    let detector_selection = value("--detectors").map_or("all", String::as_str);
 
     // One root recorder for the whole invocation: disabled (all no-ops)
     // unless --metrics-out asked for the export.
@@ -280,11 +373,11 @@ fn main() {
     }
     if run("attacks") {
         section("Extension — adversary zoo (bit-level + controller-level registry)");
-        attacks(full, shards, mode, &recorder, &journal, &attack_selection);
+        attacks(full, shards, mode, &recorder, &journal, attack_selection);
     }
     if run("ids") {
         section("Extension — timing-IDS bake-off (detector × defense × scenario)");
-        ids(full, shards, mode, &recorder, &journal, &detector_selection);
+        ids(full, shards, mode, &recorder, &journal, detector_selection);
     }
 
     if let Some(path) = metrics_out {

@@ -96,6 +96,18 @@ impl Recorder {
         }
     }
 
+    /// Records `n` observations of `value` into the histogram `key` with
+    /// the default buckets — the same snapshot as `n` calls of
+    /// [`Recorder::observe`], in one registry update (`n = 0` records
+    /// nothing).
+    #[inline]
+    pub fn observe_n(&self, key: &str, value: u64, n: u64) {
+        if let Some(reg) = &self.0 {
+            reg.borrow_mut()
+                .observe_n(key, crate::registry::DEFAULT_BUCKETS, value, n);
+        }
+    }
+
     /// Registers an empty histogram so it appears in snapshots even with
     /// zero observations (stable schema across runs).
     #[inline]
@@ -246,6 +258,41 @@ mod tests {
         assert_eq!(reg.trace_capacity(), 1);
         assert_eq!(reg.traces().len(), 1);
         assert_eq!(reg.traces_dropped()["detection"], 1);
+    }
+
+    #[test]
+    fn observe_n_equals_n_single_observations() {
+        // (value, n): in-bucket, repeated, n = 0 on a fresh key and on a
+        // live one, the overflow bucket, and a saturating sum.
+        let samples = [
+            ("a_bits", 9, 5),
+            ("a_bits", 0, 3),
+            ("a_bits", 9, 1),
+            ("a_bits", 4, 0),
+            ("never_bits", 7, 0),
+            ("a_bits", 1 << 40, 2),
+            ("big_bits", u64::MAX / 2, 3),
+        ];
+        let weighted = Recorder::enabled();
+        let repeated = Recorder::enabled();
+        for &(key, value, n) in &samples {
+            weighted.observe_n(key, value, n);
+            for _ in 0..n {
+                repeated.observe(key, value);
+            }
+        }
+        assert_eq!(weighted.snapshot_json(), repeated.snapshot_json());
+        assert_eq!(weighted.prometheus_text(), repeated.prometheus_text());
+        let reg = weighted.into_registry();
+        assert!(
+            reg.histogram("never_bits").is_none(),
+            "n = 0 creates nothing"
+        );
+        let a = reg.histogram("a_bits").unwrap();
+        assert_eq!(a.count(), 11);
+        assert_eq!(*a.bucket_counts().last().unwrap(), 2, "overflow bucket");
+        assert_eq!(reg.histogram("big_bits").unwrap().sum(), u64::MAX);
+        Recorder::disabled().observe_n("a_bits", 1, 1);
     }
 
     #[test]

@@ -70,10 +70,20 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&mut self, value: u64) {
+        self.observe_n(value, 1);
+    }
+
+    /// Records `n` observations of the same `value` — exactly what `n`
+    /// calls of [`Histogram::observe`] would record; `n = 0` changes
+    /// nothing.
+    pub fn observe_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let slot = self.bounds.partition_point(|&b| b < value);
-        self.counts[slot] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
+        self.counts[slot] += n;
+        self.count += n;
+        self.sum = self.sum.saturating_add(value.saturating_mul(n));
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -271,11 +281,20 @@ impl Registry {
     /// Records `value` into the histogram `key`, creating it with `bounds`
     /// on first use.
     pub fn observe(&mut self, key: &str, bounds: &[u64], value: u64) {
+        self.observe_n(key, bounds, value, 1);
+    }
+
+    /// Records `n` observations of `value` into the histogram `key`, as
+    /// `n` calls of [`Registry::observe`] would; `n = 0` creates nothing.
+    pub fn observe_n(&mut self, key: &str, bounds: &[u64], value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         match self.histograms.get_mut(key) {
-            Some(hist) => hist.observe(value),
+            Some(hist) => hist.observe_n(value, n),
             None => {
                 let mut hist = Histogram::new(bounds);
-                hist.observe(value);
+                hist.observe_n(value, n);
                 self.histograms.insert(key.to_string(), hist);
             }
         }

@@ -2,20 +2,19 @@
 //!
 //! Tools for reasoning about a whole MichiCAN deployment:
 //!
-//! * exact decision-depth statistics computed from the FSM structure in
-//!   O(states) — no per-identifier walks — enabling paper-scale sweeps
-//!   (160,000 FSMs) in milliseconds;
+//! * exact decision-depth statistics reduced from the FSM's one leaf walk
+//!   ([`DetectionFsm::tally`]) — no per-identifier walks — so a profile
+//!   costs a few microseconds and paper-scale sweeps (160,000 FSMs) stay
+//!   cheap;
 //! * the coverage/redundancy matrix behind the paper's robustness
 //!   argument (§IV-A): "even if |𝔼| − 1 ECUs fail (which is highly
 //!   unlikely), one ECU can still detect the attack".
 
-use std::collections::HashMap;
-
 use can_core::CanId;
 
 use crate::config::{EcuList, Scenario};
-use crate::detect::scenario_range;
-use crate::fsm::{DetectionFsm, ExportedNode};
+use crate::detect::{scenario_range, IdSet};
+use crate::fsm::{deepest, weighted_sum, DetectionFsm};
 
 /// Exact decision-depth statistics of one FSM, by structural recursion.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,7 +30,7 @@ pub struct DepthProfile {
 }
 
 /// Computes the exact [`DepthProfile`] of an FSM without enumerating
-/// identifiers: each state is visited once per depth it appears at.
+/// identifiers, from the per-depth verdict counts of its leaf walk.
 ///
 /// ```
 /// use michican::analysis::depth_profile;
@@ -45,63 +44,22 @@ pub struct DepthProfile {
 /// assert_eq!(profile.mean_malicious_depth, 1.0); // the MSB decides
 /// ```
 pub fn depth_profile(fsm: &DetectionFsm) -> DepthProfile {
-    let nodes = fsm.export_nodes();
-    // (state, depth) -> number of identifier paths reaching it.
-    let mut frontier: HashMap<u16, u64> = HashMap::new();
-    frontier.insert(fsm.root(), 1);
-
-    let mut malicious_ids = 0u64;
-    let mut malicious_depth_sum = 0u64;
-    let mut benign_ids = 0u64;
-    let mut benign_depth_sum = 0u64;
-    let mut max_depth = 0u8;
-
-    for depth in 0..=CanId::BITS as u8 {
-        if frontier.is_empty() {
-            break;
+    // The verdict-side bins do not depend on the ground truth, so any
+    // rank table serves; the empty set's is the cheapest to state.
+    let tally = fsm.tally(&IdSet::empty().ranks());
+    let mean = |by_depth: &[u64]| {
+        let ids: u64 = by_depth.iter().sum();
+        if ids == 0 {
+            0.0
+        } else {
+            weighted_sum(by_depth) as f64 / ids as f64
         }
-        let remaining_bits = CanId::BITS as u64 - depth as u64;
-        let mut next: HashMap<u16, u64> = HashMap::new();
-        for (&state, &paths) in &frontier {
-            match nodes[state as usize] {
-                ExportedNode::Malicious => {
-                    // Every completion of the remaining bits is malicious,
-                    // all decided at this depth.
-                    let ids = paths << remaining_bits;
-                    malicious_ids += ids;
-                    malicious_depth_sum += ids * depth as u64;
-                    max_depth = max_depth.max(depth);
-                }
-                ExportedNode::Benign => {
-                    let ids = paths << remaining_bits;
-                    benign_ids += ids;
-                    benign_depth_sum += ids * depth as u64;
-                    max_depth = max_depth.max(depth);
-                }
-                ExportedNode::Branch { zero, one } => {
-                    debug_assert!(depth < CanId::BITS as u8, "branch below max depth");
-                    *next.entry(zero).or_insert(0) += paths;
-                    *next.entry(one).or_insert(0) += paths;
-                }
-            }
-        }
-        frontier = next;
-    }
-
-    debug_assert_eq!(malicious_ids + benign_ids, 1 << CanId::BITS);
+    };
     DepthProfile {
-        malicious_ids,
-        mean_malicious_depth: if malicious_ids == 0 {
-            0.0
-        } else {
-            malicious_depth_sum as f64 / malicious_ids as f64
-        },
-        mean_benign_depth: if benign_ids == 0 {
-            0.0
-        } else {
-            benign_depth_sum as f64 / benign_ids as f64
-        },
-        max_depth,
+        malicious_ids: tally.flagged.iter().sum(),
+        mean_malicious_depth: mean(&tally.flagged),
+        mean_benign_depth: mean(&tally.passed),
+        max_depth: deepest(&tally.flagged).max(deepest(&tally.passed)),
     }
 }
 
@@ -175,8 +133,7 @@ pub fn coverage(list: &EcuList, scenario: Scenario) -> CoverageReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::{detection_range, IdSet};
-    use crate::fsm::DetectionFsm;
+    use crate::detect::detection_range;
 
     #[test]
     fn depth_profile_matches_exhaustive_walk() {

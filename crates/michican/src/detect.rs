@@ -180,19 +180,25 @@ impl IdSet {
         self.intervals.is_empty()
     }
 
-    /// Number of identifiers in `[lo, hi)` (half-open, for FSM
-    /// construction over power-of-two ranges).
-    pub fn count_in(&self, lo: u32, hi: u32) -> u32 {
-        let mut count = 0;
-        for &(a, b) in &self.intervals {
-            let (a, b) = (a as u32, b as u32 + 1); // half-open
-            let start = a.max(lo);
-            let end = b.min(hi);
-            if start < end {
-                count += end - start;
+    /// The prefix-count table of the set: one O(identifier space) pass,
+    /// after which every range count is O(1) (see [`Ranks`]).
+    pub fn ranks(&self) -> Ranks {
+        let mut below = [0u16; ID_SPACE + 1];
+        let mut count = 0u16;
+        let mut next = 0usize;
+        for &(lo, hi) in &self.intervals {
+            let (lo, hi) = (lo as usize, hi as usize);
+            below[next..=lo].fill(count);
+            for (slot, rank) in below[lo + 1..=hi + 1].iter_mut().zip(count + 1..) {
+                *slot = rank;
             }
+            count += (hi - lo + 1) as u16;
+            next = hi + 2;
         }
-        count
+        if next <= ID_SPACE {
+            below[next..].fill(count);
+        }
+        Ranks { below }
     }
 
     /// Iterates all identifiers in the set, ascending.
@@ -205,6 +211,44 @@ impl IdSet {
     /// The underlying intervals (sorted, disjoint, inclusive).
     pub fn intervals(&self) -> &[(u16, u16)] {
         &self.intervals
+    }
+}
+
+/// Size of the 11-bit identifier space.
+const ID_SPACE: usize = 1 << CanId::BITS;
+
+/// Rank table of an [`IdSet`]: for every identifier `i` (and the end of
+/// the space, 2048), the number of members below `i` — 2049 `u16`s,
+/// 4 KiB.
+///
+/// The FSM builder and the leaf tally of [`crate::fsm`] count set members
+/// in a power-of-two identifier range at every trie node; with the table
+/// that is two loads instead of a scan over the set's intervals.
+///
+/// ```
+/// use can_core::CanId;
+/// use michican::detect::IdSet;
+///
+/// let set = IdSet::prefix_minus_points(CanId::new(0x00F).unwrap(), &[CanId::new(0x005).unwrap()]);
+/// let ranks = set.ranks();
+/// assert_eq!(ranks.count_in(0, 2048), 15);
+/// assert_eq!(ranks.count_in(0, 6), 5); // 0..=4, 5 is excluded
+/// ```
+#[derive(Debug, Clone)]
+pub struct Ranks {
+    below: [u16; ID_SPACE + 1],
+}
+
+impl Ranks {
+    /// Number of members in the half-open identifier range `[lo, hi)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hi > 2048`; debug builds also check `lo <= hi`.
+    #[inline]
+    pub fn count_in(&self, lo: u32, hi: u32) -> u32 {
+        debug_assert!(lo <= hi, "range bounds reversed");
+        u32::from(self.below[hi as usize] - self.below[lo as usize])
     }
 }
 
@@ -330,11 +374,34 @@ mod tests {
 
     #[test]
     fn count_in_half_open_ranges() {
-        let set = IdSet::prefix_minus_points(id(0x00F), &[id(0x005)]);
-        assert_eq!(set.count_in(0, 2048), 15);
-        assert_eq!(set.count_in(0, 6), 5); // 0..=4 (5 excluded)
-        assert_eq!(set.count_in(5, 6), 0);
-        assert_eq!(set.count_in(0x10, 2048), 0);
+        let ranks = IdSet::prefix_minus_points(id(0x00F), &[id(0x005)]).ranks();
+        assert_eq!(ranks.count_in(0, 2048), 15);
+        assert_eq!(ranks.count_in(0, 6), 5); // 0..=4 (5 excluded)
+        assert_eq!(ranks.count_in(5, 6), 0);
+        assert_eq!(ranks.count_in(0x10, 2048), 0);
+    }
+
+    #[test]
+    fn ranks_match_membership_at_every_identifier() {
+        let sets = [
+            IdSet::empty(),
+            IdSet::interval(id(0), id(0x7FF)),
+            IdSet::singleton(id(0)),
+            IdSet::singleton(id(0x7FF)),
+            IdSet::prefix_minus_points(id(0x7FF), &[id(0), id(1), id(0x400), id(0x7FF)]),
+            IdSet::prefix_minus_points(id(0x123), &[id(0x005), id(0x100), id(0x122)]),
+        ];
+        for set in &sets {
+            let ranks = set.ranks();
+            let mut below = 0;
+            for raw in 0..=CanId::MAX_RAW {
+                assert_eq!(ranks.count_in(0, raw as u32), below, "{set:?} at {raw:#x}");
+                let member = u32::from(set.contains(id(raw)));
+                assert_eq!(ranks.count_in(raw as u32, raw as u32 + 1), member);
+                below += member;
+            }
+            assert_eq!(ranks.count_in(0, 2048) as usize, set.len());
+        }
     }
 
     #[test]

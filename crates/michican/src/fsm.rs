@@ -12,12 +12,29 @@
 //! entirely outside to `Benign`, and structurally identical subtrees are
 //! shared. Early termination (the paper's mean detection bit position of
 //! ≈ 9) falls out of the pruning.
+//!
+//! Construction reads the set through its rank table
+//! ([`IdSet::ranks`]): the member count of a trie node's identifier range
+//! is two loads, so the build costs O(trie nodes visited), independent of
+//! how many intervals the set has. Hash consing keys each `(zero, one)`
+//! successor pair packed into a `u32` behind a multiplicative hasher;
+//! states are numbered in insertion order, so the layout (and the
+//! generated firmware tables) depend on the set alone.
+//!
+//! Analysis never enumerates identifiers: [`DetectionFsm::for_each_leaf`]
+//! walks the unfolded trie once, yielding each terminal with the
+//! identifier range that reaches it and its decision depth, and
+//! [`DetectionFsm::tally`] reduces those leaves against a rank table into
+//! the integer sums an exhaustive per-identifier check would add up
+//! ([`LeafTally`]). [`DetectionStats`], `analysis::depth_profile` and the
+//! §V-B sweep all read that one tally.
 
 use can_core::{CanId, Level};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::detect::IdSet;
+use crate::detect::{IdSet, Ranks};
 
 /// Identifier bit count — FSM depth bound.
 const DEPTH: u32 = CanId::BITS as u32;
@@ -91,17 +108,20 @@ pub struct DetectionFsm {
 impl DetectionFsm {
     /// Builds the FSM recognizing exactly the identifiers in `set`.
     pub fn from_set(set: &IdSet) -> Self {
+        Self::from_ranks(&set.ranks())
+    }
+
+    /// Builds the FSM recognizing exactly the identifiers counted by
+    /// `ranks` (see [`IdSet::ranks`]).
+    pub fn from_ranks(ranks: &Ranks) -> Self {
         let mut builder = Builder {
-            nodes: Vec::new(),
-            cache: HashMap::new(),
-            malicious: 0,
-            benign: 0,
+            ranks,
+            nodes: vec![FsmNode::Malicious, FsmNode::Benign],
+            // Sized past the ~160 states of a sweep-regime (N ≈ 300) FSM,
+            // so the table rarely regrows mid-build.
+            cache: PairMap::with_capacity_and_hasher(256, Default::default()),
         };
-        builder.nodes.push(FsmNode::Malicious);
-        builder.nodes.push(FsmNode::Benign);
-        builder.malicious = 0;
-        builder.benign = 1;
-        let root = builder.build(set, 0, 1 << DEPTH);
+        let root = builder.build(0, 1 << DEPTH);
         DetectionFsm {
             nodes: builder.nodes,
             root,
@@ -257,35 +277,209 @@ impl DetectionFsm {
     }
 }
 
-struct Builder {
-    nodes: Vec<FsmNode>,
-    cache: HashMap<(u16, u16), u16>,
-    malicious: u16,
-    benign: u16,
+/// State index of the `Malicious` terminal in every built FSM.
+const MALICIOUS: u16 = 0;
+/// State index of the `Benign` terminal in every built FSM.
+const BENIGN: u16 = 1;
+
+/// Hash-consing table: `(zero, one)` successor pair packed as
+/// `zero << 16 | one` → state index.
+type PairMap = HashMap<u32, u16, BuildHasherDefault<PairHasher>>;
+
+/// Multiplicative (Fibonacci) hasher for the packed successor pairs. The
+/// high half of the product depends on every key bit, so it is rotated
+/// into the low bits the table indexes by.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("PairHasher hashes packed u32 keys only")
+    }
+
+    #[inline]
+    fn write_u32(&mut self, key: u32) {
+        self.0 = u64::from(key)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
-impl Builder {
+struct Builder<'a> {
+    ranks: &'a Ranks,
+    nodes: Vec<FsmNode>,
+    cache: PairMap,
+}
+
+impl Builder<'_> {
     /// Builds the subtree deciding the half-open identifier range
     /// `[lo, hi)`.
-    fn build(&mut self, set: &IdSet, lo: u32, hi: u32) -> u16 {
-        let covered = set.count_in(lo, hi);
+    fn build(&mut self, lo: u32, hi: u32) -> u16 {
+        let covered = self.ranks.count_in(lo, hi);
         if covered == 0 {
-            return self.benign;
+            return BENIGN;
         }
         if covered == hi - lo {
-            return self.malicious;
+            return MALICIOUS;
         }
         let mid = lo + (hi - lo) / 2;
-        let zero = self.build(set, lo, mid);
-        let one = self.build(set, mid, hi);
-        if let Some(&existing) = self.cache.get(&(zero, one)) {
-            return existing;
+        let zero = self.build(lo, mid);
+        let one = self.build(mid, hi);
+        let next = self.nodes.len() as u16;
+        let index = *self
+            .cache
+            .entry(u32::from(zero) << 16 | u32::from(one))
+            .or_insert(next);
+        if index == next {
+            self.nodes.push(FsmNode::Branch { zero, one });
         }
-        let index = self.nodes.len() as u16;
-        self.nodes.push(FsmNode::Branch { zero, one });
-        self.cache.insert((zero, one), index);
         index
     }
+}
+
+/// One terminal of the unfolded FSM trie: every identifier in the
+/// half-open range `[lo, hi)` reaches it after `depth` identifier bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Leaf {
+    /// First identifier of the range.
+    pub lo: u32,
+    /// One past the last identifier of the range.
+    pub hi: u32,
+    /// Identifier bits consumed to reach the terminal — the
+    /// [`DetectionFsm::decision_position`] of every identifier in range.
+    pub depth: u8,
+    /// The terminal's verdict (`true` = malicious).
+    pub malicious: bool,
+}
+
+impl DetectionFsm {
+    /// Visits every terminal of the unfolded trie, in ascending identifier
+    /// order. The leaves tile the 11-bit identifier space, and for every
+    /// identifier in a leaf's range [`DetectionFsm::classify`] returns the
+    /// leaf's verdict and [`DetectionFsm::decision_position`] its depth.
+    /// Costs O(leaves): each shared state is revisited once per path into
+    /// it, but no identifier is enumerated.
+    ///
+    /// ```
+    /// use can_core::CanId;
+    /// use michican::detect::IdSet;
+    /// use michican::fsm::DetectionFsm;
+    ///
+    /// let set = IdSet::interval(CanId::new(0).unwrap(), CanId::new(0x3FF).unwrap());
+    /// let mut leaves = Vec::new();
+    /// DetectionFsm::from_set(&set).for_each_leaf(|leaf| leaves.push(leaf));
+    /// // The MSB decides: 0x000–0x3FF malicious, 0x400–0x7FF benign.
+    /// assert_eq!(leaves.len(), 2);
+    /// assert_eq!((leaves[0].lo, leaves[0].hi, leaves[0].depth), (0, 0x400, 1));
+    /// assert!(leaves[0].malicious && !leaves[1].malicious);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if a branch sits at depth 11 (an FSM that does not decide
+    /// within the identifier bits).
+    pub fn for_each_leaf(&self, mut visit: impl FnMut(Leaf)) {
+        self.walk(self.root, 0, 1 << DEPTH, 0, &mut visit);
+    }
+
+    fn walk(&self, state: u16, lo: u32, hi: u32, depth: u8, visit: &mut impl FnMut(Leaf)) {
+        let malicious = match self.nodes[state as usize] {
+            FsmNode::Malicious => true,
+            FsmNode::Benign => false,
+            FsmNode::Branch { zero, one } => {
+                assert!(u32::from(depth) < DEPTH, "FSM must decide within 11 bits");
+                let mid = lo + (hi - lo) / 2;
+                self.walk(zero, lo, mid, depth + 1, visit);
+                self.walk(one, mid, hi, depth + 1, visit);
+                return;
+            }
+        };
+        visit(Leaf {
+            lo,
+            hi,
+            depth,
+            malicious,
+        });
+    }
+
+    /// Reduces one leaf walk against the ground truth counted by `truth`
+    /// into the integer sums of an exhaustive per-identifier check (see
+    /// [`LeafTally`]). Exact for any FSM, correct or not.
+    pub fn tally(&self, truth: &Ranks) -> LeafTally {
+        let mut tally = LeafTally::default();
+        self.for_each_leaf(|leaf| {
+            let size = u64::from(leaf.hi - leaf.lo);
+            let covered = u64::from(truth.count_in(leaf.lo, leaf.hi));
+            let depth = usize::from(leaf.depth);
+            tally.members += covered;
+            if leaf.malicious {
+                tally.flagged[depth] += size;
+                tally.detected[depth] += covered;
+            } else {
+                tally.passed[depth] += size;
+            }
+        });
+        tally
+    }
+}
+
+/// Identifier counts of one FSM against a ground-truth set, binned by
+/// decision depth (index 0–11 = identifier bits consumed; 0 only for a
+/// constant FSM). Every field is what a loop over all 2048 identifiers
+/// (`set.contains`, `fsm.classify`, `fsm.decision_position`) would count,
+/// but it comes from one leaf walk ([`DetectionFsm::tally`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LeafTally {
+    /// Identifiers in the ground-truth set.
+    pub members: u64,
+    /// Per depth: identifiers the FSM flags malicious.
+    pub flagged: [u64; DEPTH as usize + 1],
+    /// Per depth: flagged identifiers that are set members (detections).
+    pub detected: [u64; DEPTH as usize + 1],
+    /// Per depth: identifiers the FSM passes as benign.
+    pub passed: [u64; DEPTH as usize + 1],
+}
+
+impl LeafTally {
+    /// Set members the FSM flags.
+    pub fn detected_total(&self) -> u64 {
+        self.detected.iter().sum()
+    }
+
+    /// Identifiers outside the set (benign ground truth).
+    pub fn non_members(&self) -> u64 {
+        (1 << DEPTH) - self.members
+    }
+
+    /// Non-members the FSM flags.
+    pub fn false_positives(&self) -> u64 {
+        self.flagged.iter().sum::<u64>() - self.detected_total()
+    }
+
+    /// Sum of decision positions over detected members.
+    pub fn position_sum(&self) -> u64 {
+        weighted_sum(&self.detected)
+    }
+
+    /// Largest decision position of a detected member (0 if none).
+    pub fn position_max(&self) -> u8 {
+        deepest(&self.detected)
+    }
+}
+
+/// `Σ depth × count` over a per-depth histogram.
+pub(crate) fn weighted_sum(by_depth: &[u64]) -> u64 {
+    by_depth.iter().zip(0u64..).map(|(&n, d)| n * d).sum()
+}
+
+/// Deepest non-empty bin of a per-depth histogram (0 if all are empty).
+pub(crate) fn deepest(by_depth: &[u64]) -> u8 {
+    by_depth.iter().rposition(|&n| n > 0).unwrap_or(0) as u8
 }
 
 /// Aggregate detection-latency statistics of one FSM (paper §V-B).
@@ -304,53 +498,29 @@ pub struct DetectionStats {
 }
 
 impl DetectionStats {
-    /// Exhaustively evaluates `fsm` against the ground-truth `set` over the
-    /// whole 11-bit identifier space.
+    /// Evaluates `fsm` against the ground-truth `set` over the whole
+    /// 11-bit identifier space, from one leaf walk ([`DetectionFsm::tally`]).
     pub fn evaluate(fsm: &DetectionFsm, set: &IdSet) -> Self {
-        let mut malicious_ids = 0usize;
-        let mut detected = 0usize;
-        let mut false_positives = 0usize;
-        let mut benign_total = 0usize;
-        let mut position_sum = 0u64;
-        let mut position_max = 0u8;
-
-        for id in CanId::all() {
-            let truth = set.contains(id);
-            let verdict = fsm.classify(id);
-            if truth {
-                malicious_ids += 1;
-                if verdict {
-                    detected += 1;
-                    let pos = fsm.decision_position(id);
-                    position_sum += pos as u64;
-                    position_max = position_max.max(pos);
-                }
-            } else {
-                benign_total += 1;
-                if verdict {
-                    false_positives += 1;
-                }
-            }
-        }
-
+        let tally = fsm.tally(&set.ranks());
+        let detected = tally.detected_total();
         DetectionStats {
-            malicious_ids,
-            detection_rate: if malicious_ids == 0 {
+            malicious_ids: tally.members as usize,
+            detection_rate: if tally.members == 0 {
                 1.0
             } else {
-                detected as f64 / malicious_ids as f64
+                detected as f64 / tally.members as f64
             },
-            false_positive_rate: if benign_total == 0 {
+            false_positive_rate: if tally.non_members() == 0 {
                 0.0
             } else {
-                false_positives as f64 / benign_total as f64
+                tally.false_positives() as f64 / tally.non_members() as f64
             },
             mean_detection_position: if detected == 0 {
                 0.0
             } else {
-                position_sum as f64 / detected as f64
+                tally.position_sum() as f64 / detected as f64
             },
-            max_detection_position: position_max,
+            max_detection_position: tally.position_max(),
         }
     }
 }

@@ -12,15 +12,31 @@
 //! estimate.
 //!
 //! Three invariants are checked on the cells at or below the documented
-//! sporadic-fault threshold ([`SPORADIC_BER_THRESHOLD`]):
+//! sporadic-fault threshold ([`SPORADIC_BER_THRESHOLD`]); every break is
+//! listed in [`CampaignReport::violations`] and printed under the table:
 //!
 //! 1. **no benign bus-off** — sporadic channel faults never walk a benign
 //!    transmitter to bus-off (the +8/−1 TEC ladder needs a sustained
 //!    error rate, cf. §IV-E's robustness argument);
 //! 2. **eradication still succeeds** — the defender buses the attacker
 //!    off despite sporadic faults;
-//! 3. **the defender stays silent on benign traffic** — zero
-//!    counterattacks in attack-free cells.
+//! 3. **the defender stays silent on benign traffic** — each attack-free
+//!    cell that launched a counterattack is reported.
+//!
+//! Invariants 1 and 2 held on every master seed tried (those the repo
+//! benchmark derives from `--seed` 1–899, 3,596 campaigns). Invariant 3
+//! holds for the default seed but not for every seed, in two known cells:
+//!
+//! * `benign/defender pin` (152 of those campaigns): a sampling fault on
+//!   the defender's own receive pin makes an intact benign frame read as a
+//!   spoof, and the counterattack destroys it;
+//! * `benign/iid ber=1e-5` (96 of them): a channel flip in a benign
+//!   frame's identifier leads to a detection, but the flip had already
+//!   ended the frame (the transmitter's bit error, or an arbitration lost
+//!   to nobody), so the counterattack destroys no benign frame.
+//!
+//! The check itself makes no exception for either cell: on such a seed
+//! the report says `invariants: N VIOLATION(S)` and names the cell.
 //!
 //! Cells above the threshold are reported but not asserted: they document
 //! where the defense degrades (and show the health watchdog withdrawing
@@ -42,8 +58,8 @@ use restbus::{vehicle_matrix, CommMatrix, Message, Vehicle};
 
 use crate::runner::{derive_seed, ExecOpts, ExperimentPlan};
 
-/// Documented sporadic-fault threshold: iid channel BERs at or below this
-/// rate must not disturb benign delivery or eradication (invariants 1–3).
+/// Documented sporadic-fault threshold: cells with iid channel BERs at or
+/// below this rate are checked against invariants 1–3 (module docs).
 pub const SPORADIC_BER_THRESHOLD: f64 = 1e-5;
 
 /// The identifier the DoS attacker floods (kept out of the restbus).

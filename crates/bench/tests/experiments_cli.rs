@@ -1,10 +1,11 @@
 //! The `experiments` command line as a user meets it: unknown artifact
 //! names and flags are usage errors (exit 2, message on stderr), a closed
 //! stdout pipe ends the run quietly with exit 0, and the §V-B detection
-//! report and its metrics snapshot stay byte-identical to the checked-in
+//! report, the simulator artifacts (`table2`, `faults`, `attacks`, `ids`)
+//! and their metrics snapshots stay byte-identical to the checked-in
 //! golden files in `tests/golden/`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
 const BIN: &str = env!("CARGO_BIN_EXE_experiments");
@@ -93,9 +94,17 @@ fn detection_report_and_snapshot_match_the_golden_files() {
         std::fs::read_to_string(&metrics).unwrap(),
         golden("detection_metrics.json")
     );
-    // The Prometheus rendering also carries host wall-time span totals;
-    // everything else must match.
-    let prom: String = std::fs::read_to_string(metrics.with_extension("prom"))
+    assert_eq!(
+        deterministic_prom(&metrics),
+        golden("detection_metrics.prom")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The Prometheus rendering next to a `--metrics-out` snapshot, minus the
+/// host wall-time span totals (its only non-deterministic lines).
+fn deterministic_prom(metrics: &Path) -> String {
+    std::fs::read_to_string(metrics.with_extension("prom"))
         .unwrap()
         .lines()
         .filter(|l| {
@@ -103,7 +112,48 @@ fn detection_report_and_snapshot_match_the_golden_files() {
                 && !l.starts_with("bench_cell_wall_seconds_max ")
         })
         .map(|l| format!("{l}\n"))
-        .collect();
-    assert_eq!(prom, golden("detection_metrics.prom"));
+        .collect()
+}
+
+fn assert_stdout_matches(args: &[&str], golden_name: &str) {
+    let out = run(args);
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        golden(golden_name),
+        "{args:?}"
+    );
+}
+
+#[test]
+fn simulator_reports_and_snapshot_match_the_golden_files() {
+    let dir = std::env::temp_dir().join(format!("michican_cli_sim_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("faults_metrics.json");
+    assert_stdout_matches(&["table2", "--shards", "2"], "table2.txt");
+    assert_stdout_matches(
+        &[
+            "faults",
+            "--shards",
+            "2",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ],
+        "faults.txt",
+    );
+    assert_eq!(
+        std::fs::read_to_string(&metrics).unwrap(),
+        golden("faults_metrics.json")
+    );
+    assert_eq!(deterministic_prom(&metrics), golden("faults_metrics.prom"));
+    assert_stdout_matches(
+        &["attacks", "--attacks", "all", "--shards", "2"],
+        "attacks.txt",
+    );
+    assert_stdout_matches(&["ids", "--detectors", "all", "--shards", "2"], "ids.txt");
     let _ = std::fs::remove_dir_all(&dir);
 }

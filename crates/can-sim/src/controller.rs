@@ -168,6 +168,22 @@ struct ErrSig {
     then_bus_off: bool,
 }
 
+impl ErrSig {
+    fn new(was_transmitter: bool, receiver_role: bool, active: bool) -> Self {
+        ErrSig {
+            active,
+            flag_remaining: ERROR_FLAG_BITS,
+            run_level: None,
+            run_len: 0,
+            phase: ErrPhase::Flag,
+            was_transmitter,
+            receiver_role,
+            severe_applied: false,
+            then_bus_off: false,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ErrPhase {
     Flag,
@@ -175,20 +191,20 @@ enum ErrPhase {
     Delimiter(u8),
 }
 
-#[derive(Debug, Clone)]
+/// The controller's protocol state. A bit step mutates the current
+/// variant in place; a new variant is assigned only when the state class
+/// changes (SOF, arbitration loss, error, end of frame or interframe
+/// space, bus-off and recovery).
+#[derive(Debug)]
 enum State {
     /// Waiting for 11 consecutive recessive bits before joining the bus.
     Integrating {
         recessive_run: u8,
     },
     Idle,
-    Receiving {
-        parser: RxParser,
-    },
-    Transmitting {
-        tx: TxJob,
-        parser: RxParser,
-    },
+    /// Receiving a frame; the frame lives in [`Controller::rx`].
+    Receiving,
+    Transmitting(TxJob),
     ErrorSignaling(ErrSig),
     Intermission {
         remaining: u8,
@@ -234,6 +250,11 @@ pub struct Controller {
     config: ControllerConfig,
     counters: ErrorCounters,
     state: State,
+    /// Receive parser of the frame on the bus, run by receivers and
+    /// transmitters alike (a transmitter losing arbitration continues as
+    /// a receiver without missing a bit). Reset at each SOF; meaningless
+    /// outside the receiving and transmitting states.
+    rx: RxParser,
     /// Transmit mailboxes: at most one pending frame per identifier;
     /// lowest identifier transmits first.
     pending: Vec<CanFrame>,
@@ -250,6 +271,7 @@ impl Controller {
             config,
             counters: ErrorCounters::new(),
             state: State::Integrating { recessive_run: 0 },
+            rx: RxParser::new(),
             pending: Vec::new(),
             drive_ack: false,
             last_reported_state: ErrorState::ErrorActive,
@@ -284,7 +306,7 @@ impl Controller {
     /// Whether the controller is currently transmitting (and has not lost
     /// arbitration).
     pub fn is_transmitting(&self) -> bool {
-        matches!(self.state, State::Transmitting { .. })
+        matches!(self.state, State::Transmitting(_))
     }
 
     /// Whether the controller is in bus-off.
@@ -297,7 +319,7 @@ impl Controller {
     pub fn is_busy(&self) -> bool {
         matches!(
             self.state,
-            State::Transmitting { .. } | State::Receiving { .. } | State::ErrorSignaling(_)
+            State::Transmitting(_) | State::Receiving | State::ErrorSignaling(_)
         )
     }
 
@@ -341,11 +363,11 @@ impl Controller {
     /// The level this controller drives during the upcoming bit time.
     pub fn tx_level(&self) -> Level {
         match &self.state {
-            State::Transmitting { tx, .. } => tx.bits[tx.index],
+            State::Transmitting(tx) => tx.bits[tx.index],
             State::ErrorSignaling(sig) if sig.phase == ErrPhase::Flag && sig.active => {
                 Level::Dominant
             }
-            State::Receiving { .. } if self.drive_ack => Level::Dominant,
+            State::Receiving if self.drive_ack => Level::Dominant,
             _ => Level::Recessive,
         }
     }
@@ -361,42 +383,83 @@ impl Controller {
     ///
     /// `out` must be [`StepOutput::clear`]ed (or fresh); reusing one
     /// buffer across bits avoids a per-bit allocation on the simulator's
-    /// hot path.
-    pub fn on_sample_into(&mut self, bus: Level, now: BitInstant, out: &mut StepOutput) {
+    /// hot path. The controller's behaviour does not depend on `_now`.
+    pub fn on_sample_into(&mut self, bus: Level, _now: BitInstant, out: &mut StepOutput) {
         // The ACK drive is one-shot: the bit being processed was the slot.
         self.drive_ack = false;
 
-        // `state` is replaced wholesale to keep the borrow checker happy.
-        let state = std::mem::replace(&mut self.state, State::Idle);
-        self.state = match state {
+        match &mut self.state {
             State::Integrating { recessive_run } => {
-                let run = if bus.is_recessive() {
-                    recessive_run + 1
+                if bus.is_dominant() {
+                    *recessive_run = 0;
+                } else if *recessive_run >= 10 {
+                    self.state = State::Idle;
                 } else {
-                    0
-                };
-                if run >= 11 {
-                    State::Idle
-                } else {
-                    State::Integrating { recessive_run: run }
+                    *recessive_run += 1;
                 }
             }
-            State::Idle => self.sample_idle(bus, now, out),
-            State::Receiving { parser } => self.sample_receiving(parser, bus, now, out),
-            State::Transmitting { tx, parser } => {
-                self.sample_transmitting(tx, parser, bus, now, out)
+            State::Idle => {
+                if bus.is_dominant() {
+                    self.join_as_receiver(bus, out);
+                } else if !self.pending.is_empty() {
+                    self.start_transmission(out);
+                }
             }
-            State::ErrorSignaling(sig) => self.sample_error(sig, bus, now, out),
+            State::Receiving => self.sample_receiving(bus, out),
+            State::Transmitting(_) => self.sample_transmitting(bus, out),
+            State::ErrorSignaling(_) => self.sample_error(bus, out),
             State::Intermission {
                 remaining,
                 then_suspend,
-            } => self.sample_intermission(remaining, then_suspend, bus, now, out),
-            State::Suspend { remaining } => self.sample_suspend(remaining, bus, now, out),
+            } => {
+                if bus.is_dominant() {
+                    // Another node's SOF (a dominant bit during
+                    // intermission is interpreted as a start of frame;
+                    // overload frames are not modelled).
+                    self.join_as_receiver(bus, out);
+                } else if *remaining > 1 {
+                    *remaining -= 1;
+                } else if *then_suspend {
+                    self.state = State::Suspend {
+                        remaining: SUSPEND_BITS,
+                    };
+                } else {
+                    self.end_interframe(out);
+                }
+            }
+            State::Suspend { remaining } => {
+                if bus.is_dominant() {
+                    // Another node started first; we join as receiver and
+                    // compete again afterwards (ISO 11898-1 suspend-
+                    // transmission rule, central to the paper's
+                    // Experiment 5 analysis).
+                    self.join_as_receiver(bus, out);
+                } else if *remaining > 1 {
+                    *remaining -= 1;
+                } else {
+                    self.end_interframe(out);
+                }
+            }
             State::BusOff {
                 recessive_run,
                 sequences,
-            } => self.sample_bus_off(recessive_run, sequences, bus, out),
-        };
+            } => {
+                if bus.is_dominant() {
+                    *recessive_run = 0;
+                } else {
+                    *recessive_run += 1;
+                    if u32::from(*recessive_run) == counters::RECOVERY_SEQUENCE_BITS {
+                        *recessive_run = 0;
+                        *sequences += 1;
+                        if *sequences >= counters::RECOVERY_SEQUENCES {
+                            self.counters.reset_after_recovery();
+                            out.events.push(EventKind::Recovered);
+                            self.state = State::Idle;
+                        }
+                    }
+                }
+            }
+        }
 
         self.report_state_change(out);
     }
@@ -409,107 +472,96 @@ impl Controller {
         }
     }
 
-    fn start_transmission(&mut self, out: &mut StepOutput) -> State {
-        match self.take_highest_priority_pending() {
-            Some(frame) => {
-                out.events
-                    .push(EventKind::TransmissionStarted { id: frame.id() });
-                State::Transmitting {
-                    tx: TxJob::new(frame),
-                    parser: RxParser::new(),
-                }
-            }
-            None => State::Idle,
-        }
-    }
-
-    fn join_as_receiver(&mut self, sof: Level, now: BitInstant, out: &mut StepOutput) -> State {
-        debug_assert!(sof.is_dominant(), "joining requires a dominant SOF");
-        let parser = RxParser::new();
-        self.sample_receiving(parser, sof, now, out)
-    }
-
-    fn sample_idle(&mut self, bus: Level, now: BitInstant, out: &mut StepOutput) -> State {
-        if bus.is_dominant() {
-            self.join_as_receiver(bus, now, out)
-        } else if !self.pending.is_empty() {
-            self.start_transmission(out)
+    /// Leaves intermission or suspend: starts the highest-priority pending
+    /// frame, or goes idle.
+    fn end_interframe(&mut self, out: &mut StepOutput) {
+        if self.pending.is_empty() {
+            self.state = State::Idle;
         } else {
-            State::Idle
+            self.start_transmission(out);
         }
     }
 
-    fn sample_receiving(
-        &mut self,
-        mut parser: RxParser,
-        bus: Level,
-        _now: BitInstant,
-        out: &mut StepOutput,
-    ) -> State {
-        match parser.push(bus) {
-            RxEvent::Continue => State::Receiving { parser },
+    fn start_transmission(&mut self, out: &mut StepOutput) {
+        let frame = self
+            .take_highest_priority_pending()
+            .expect("a transmission starts only with a pending frame");
+        out.events
+            .push(EventKind::TransmissionStarted { id: frame.id() });
+        self.rx.reset();
+        self.state = State::Transmitting(TxJob::new(frame));
+    }
+
+    fn join_as_receiver(&mut self, sof: Level, out: &mut StepOutput) {
+        debug_assert!(sof.is_dominant(), "joining requires a dominant SOF");
+        self.rx.reset();
+        self.state = State::Receiving;
+        self.sample_receiving(sof, out);
+    }
+
+    fn sample_receiving(&mut self, bus: Level, out: &mut StepOutput) {
+        match self.rx.push(bus) {
+            RxEvent::Continue => {}
             RxEvent::AckSlotNext => {
                 if self.config.ack_enabled {
                     self.drive_ack = true;
                 }
-                State::Receiving { parser }
             }
             RxEvent::Done(frame) => {
                 self.counters.on_receive_success();
                 out.events.push(EventKind::FrameReceived { frame });
                 out.received = Some(frame);
-                State::Intermission {
+                self.state = State::Intermission {
                     remaining: IFS_BITS as u8,
                     then_suspend: false,
-                }
+                };
             }
-            RxEvent::Fault(kind) => {
-                self.counters.on_receive_error();
-                out.events.push(EventKind::ErrorDetected {
-                    kind,
-                    role: ErrorRole::Receiver,
-                });
-                State::ErrorSignaling(self.new_error_signal(false, true, false))
-            }
+            RxEvent::Fault(kind) => self.receive_error(kind, out),
         }
     }
 
-    fn sample_transmitting(
-        &mut self,
-        mut tx: TxJob,
-        mut parser: RxParser,
-        bus: Level,
-        now: BitInstant,
-        out: &mut StepOutput,
-    ) -> State {
-        let sent = tx.bits[tx.index];
-        let in_arbitration = parser.in_arbitration();
-        let rx_event = parser.push(bus);
-        let mismatch = sent != bus;
+    fn receive_error(&mut self, kind: CanErrorKind, out: &mut StepOutput) {
+        self.counters.on_receive_error();
+        out.events.push(EventKind::ErrorDetected {
+            kind,
+            role: ErrorRole::Receiver,
+        });
+        self.state = State::ErrorSignaling(ErrSig::new(false, true, false));
+    }
 
-        if mismatch {
+    fn sample_transmitting(&mut self, bus: Level, out: &mut StepOutput) {
+        let State::Transmitting(tx) = &mut self.state else {
+            unreachable!("sample_transmitting on a non-transmitting controller")
+        };
+        let sent = tx.bits[tx.index];
+        // A transmitter reads its parser only to continue as a receiver
+        // after losing arbitration, so the parser stops at the end of the
+        // arbitration field (it then stays out of arbitration).
+        let in_arbitration = self.rx.in_arbitration();
+        let rx_event = if in_arbitration {
+            self.rx.push(bus)
+        } else {
+            RxEvent::Continue
+        };
+
+        if sent != bus {
+            let frame = tx.frame;
             if in_arbitration && sent.is_recessive() && bus.is_dominant() {
                 // Lost arbitration: continue as receiver of the winner.
                 out.events
-                    .push(EventKind::ArbitrationLost { id: tx.frame.id() });
-                self.requeue(tx.frame);
+                    .push(EventKind::ArbitrationLost { id: frame.id() });
+                self.requeue(frame);
                 // The parser already consumed this bit; stay receiving.
-                return match rx_event {
-                    RxEvent::Fault(kind) => {
-                        self.counters.on_receive_error();
-                        out.events.push(EventKind::ErrorDetected {
-                            kind,
-                            role: ErrorRole::Receiver,
-                        });
-                        State::ErrorSignaling(self.new_error_signal(false, true, false))
-                    }
-                    _ => State::Receiving { parser },
-                };
+                match rx_event {
+                    RxEvent::Fault(kind) => self.receive_error(kind, out),
+                    _ => self.state = State::Receiving,
+                }
+                return;
             }
             if tx.index == tx.ack_index && bus.is_dominant() {
                 // A receiver acknowledged the frame; not an error.
                 tx.index += 1;
-                return State::Transmitting { tx, parser };
+                return;
             }
             // Bit or stuff error in our own transmission.
             let kind = if tx.is_stuff_bit(tx.index) {
@@ -517,97 +569,59 @@ impl Controller {
             } else {
                 CanErrorKind::Bit
             };
-            return self.transmit_error(tx, kind, now, out);
+            self.transmit_error(frame, kind, out);
+            return;
         }
 
         // Levels matched.
         if tx.index == tx.ack_index && bus.is_recessive() {
             // Nobody acknowledged.
-            return self.transmit_ack_error(tx, now, out);
+            let frame = tx.frame;
+            self.transmit_error(frame, CanErrorKind::Ack, out);
+            return;
         }
 
         tx.index += 1;
         if tx.index == tx.bits.len() {
+            let frame = tx.frame;
             self.counters.on_transmit_success();
-            out.events
-                .push(EventKind::TransmissionSucceeded { frame: tx.frame });
-            out.transmitted = Some(tx.frame);
+            out.events.push(EventKind::TransmissionSucceeded { frame });
+            out.transmitted = Some(frame);
             let then_suspend = self.counters.state() == ErrorState::ErrorPassive;
-            return State::Intermission {
+            self.state = State::Intermission {
                 remaining: IFS_BITS as u8,
                 then_suspend,
             };
         }
-        State::Transmitting { tx, parser }
     }
 
-    fn transmit_error(
-        &mut self,
-        tx: TxJob,
-        kind: CanErrorKind,
-        _now: BitInstant,
-        out: &mut StepOutput,
-    ) -> State {
+    fn transmit_error(&mut self, frame: CanFrame, kind: CanErrorKind, out: &mut StepOutput) {
         // Flag polarity follows the state *before* the increment (paper
         // Fig. 6: the 16th error is still signalled with an active flag).
-        let active_before = self.counters.state() == ErrorState::ErrorActive;
-        let new_state = self.counters.on_transmit_error();
-        out.events.push(EventKind::ErrorDetected {
-            kind,
-            role: ErrorRole::Transmitter,
-        });
-        self.requeue(tx.frame);
-        let mut sig = self.new_error_signal(true, false, active_before);
-        if new_state == ErrorState::BusOff {
-            sig.then_bus_off = true;
-        }
-        State::ErrorSignaling(sig)
-    }
-
-    fn transmit_ack_error(&mut self, tx: TxJob, _now: BitInstant, out: &mut StepOutput) -> State {
         let active_before = self.counters.state() == ErrorState::ErrorActive;
         // ISO 11898-1 exception: an error-passive transmitter detecting an
         // ACK error (and no dominant bit during its passive flag) does not
         // increment its TEC. A lone node on a bus therefore never reaches
         // bus-off through missing acknowledgments.
-        let new_state = if active_before {
+        let new_state = if kind != CanErrorKind::Ack || active_before {
             self.counters.on_transmit_error()
         } else {
             self.counters.state()
         };
         out.events.push(EventKind::ErrorDetected {
-            kind: CanErrorKind::Ack,
+            kind,
             role: ErrorRole::Transmitter,
         });
-        self.requeue(tx.frame);
-        let mut sig = self.new_error_signal(true, false, active_before);
-        if new_state == ErrorState::BusOff {
-            sig.then_bus_off = true;
-        }
-        State::ErrorSignaling(sig)
+        self.requeue(frame);
+        let mut sig = ErrSig::new(true, false, active_before);
+        sig.then_bus_off = new_state == ErrorState::BusOff;
+        self.state = State::ErrorSignaling(sig);
     }
 
-    fn new_error_signal(&self, was_transmitter: bool, receiver_role: bool, active: bool) -> ErrSig {
-        ErrSig {
-            active,
-            flag_remaining: ERROR_FLAG_BITS,
-            run_level: None,
-            run_len: 0,
-            phase: ErrPhase::Flag,
-            was_transmitter,
-            receiver_role,
-            severe_applied: false,
-            then_bus_off: false,
-        }
-    }
-
-    fn sample_error(
-        &mut self,
-        mut sig: ErrSig,
-        bus: Level,
-        now: BitInstant,
-        out: &mut StepOutput,
-    ) -> State {
+    fn sample_error(&mut self, bus: Level, out: &mut StepOutput) {
+        let State::ErrorSignaling(sig) = &mut self.state else {
+            unreachable!("sample_error on a controller that is not signalling")
+        };
         match sig.phase {
             ErrPhase::Flag => {
                 if sig.active {
@@ -631,21 +645,16 @@ impl Controller {
                         sig.phase = ErrPhase::WaitRecessive;
                     }
                 }
-                State::ErrorSignaling(sig)
             }
             ErrPhase::WaitRecessive => {
                 if bus.is_recessive() {
                     // First delimiter bit observed.
                     sig.phase = ErrPhase::Delimiter(ERROR_DELIMITER_BITS - 1);
-                    State::ErrorSignaling(sig)
-                } else {
-                    // Someone is still flagging (superposed error flags).
-                    if sig.receiver_role && !sig.severe_applied {
-                        // Dominant right after our error flag: REC += 8.
-                        sig.severe_applied = true;
-                        self.counters.on_receive_error_severe();
-                    }
-                    State::ErrorSignaling(sig)
+                } else if sig.receiver_role && !sig.severe_applied {
+                    // Someone is still flagging (superposed error flags);
+                    // dominant right after our error flag: REC += 8.
+                    sig.severe_applied = true;
+                    self.counters.on_receive_error_severe();
                 }
             }
             ErrPhase::Delimiter(remaining) => {
@@ -654,81 +663,23 @@ impl Controller {
                     // (superposed late flags; overload handling is out of
                     // scope).
                     sig.phase = ErrPhase::WaitRecessive;
-                    return State::ErrorSignaling(sig);
-                }
-                if remaining > 1 {
+                } else if remaining > 1 {
                     sig.phase = ErrPhase::Delimiter(remaining - 1);
-                    State::ErrorSignaling(sig)
                 } else if sig.then_bus_off {
                     out.events.push(EventKind::BusOff);
-                    let _ = now;
-                    State::BusOff {
+                    self.state = State::BusOff {
                         recessive_run: 0,
                         sequences: 0,
-                    }
+                    };
                 } else {
                     let then_suspend =
                         sig.was_transmitter && self.counters.state() == ErrorState::ErrorPassive;
-                    State::Intermission {
+                    self.state = State::Intermission {
                         remaining: IFS_BITS as u8,
                         then_suspend,
-                    }
+                    };
                 }
             }
-        }
-    }
-
-    fn sample_intermission(
-        &mut self,
-        remaining: u8,
-        then_suspend: bool,
-        bus: Level,
-        now: BitInstant,
-        out: &mut StepOutput,
-    ) -> State {
-        if bus.is_dominant() {
-            // Another node's SOF (a dominant bit during intermission is
-            // interpreted as a start of frame; overload frames are not
-            // modelled).
-            return self.join_as_receiver(bus, now, out);
-        }
-        if remaining > 1 {
-            State::Intermission {
-                remaining: remaining - 1,
-                then_suspend,
-            }
-        } else if then_suspend {
-            State::Suspend {
-                remaining: SUSPEND_BITS,
-            }
-        } else if !self.pending.is_empty() {
-            self.start_transmission(out)
-        } else {
-            State::Idle
-        }
-    }
-
-    fn sample_suspend(
-        &mut self,
-        remaining: u8,
-        bus: Level,
-        now: BitInstant,
-        out: &mut StepOutput,
-    ) -> State {
-        if bus.is_dominant() {
-            // Another node started first; we join as receiver and compete
-            // again afterwards (ISO 11898-1 suspend-transmission rule,
-            // central to the paper's Experiment 5 analysis).
-            return self.join_as_receiver(bus, now, out);
-        }
-        if remaining > 1 {
-            State::Suspend {
-                remaining: remaining - 1,
-            }
-        } else if !self.pending.is_empty() {
-            self.start_transmission(out)
-        } else {
-            State::Idle
         }
     }
 
@@ -764,9 +715,7 @@ impl Controller {
                 }
             }
             // Active frame or error handling: every bit matters.
-            State::Receiving { .. } | State::Transmitting { .. } | State::ErrorSignaling(_) => {
-                Some(now)
-            }
+            State::Receiving | State::Transmitting(_) | State::ErrorSignaling(_) => Some(now),
             // Intermission consumes exactly `remaining` recessive samples;
             // the last one either starts a pending transmission (event at
             // `now + remaining - 1`) or chains into suspend-transmission.
@@ -864,7 +813,7 @@ impl Controller {
                     debug_assert!(*sequences < counters::RECOVERY_SEQUENCES);
                     return;
                 }
-                State::Receiving { .. } | State::Transmitting { .. } | State::ErrorSignaling(_) => {
+                State::Receiving | State::Transmitting(_) | State::ErrorSignaling(_) => {
                     unreachable!("advance_idle called on a busy controller")
                 }
             }
@@ -903,8 +852,8 @@ impl Controller {
             }
         };
         match &self.state {
-            State::Receiving { .. } => Some(StretchRole::Receive),
-            State::Transmitting { tx, .. } => {
+            State::Receiving => Some(StretchRole::Receive),
+            State::Transmitting(tx) => {
                 // Stop before the ACK slot (a receiver answers there) and
                 // before the final bit (transmit-success event).
                 let mut tx_cap = tx.bits.len() - 1 - tx.index;
@@ -943,14 +892,18 @@ impl Controller {
     ///
     /// The resolved bus matched the sent word over the whole window, so
     /// the lockstep path would discard every parser event (the receive
-    /// parser of a transmitter only matters on a mismatch) and advance the
+    /// parser of a transmitter only matters on a mismatch), feed the
+    /// parser only up to the end of the arbitration field and advance the
     /// wire index — which is exactly what this does.
     pub(crate) fn commit_transmit(&mut self, n: u32) {
-        let State::Transmitting { tx, parser } = &mut self.state else {
+        let State::Transmitting(tx) = &mut self.state else {
             unreachable!("commit_transmit on a non-transmitting controller")
         };
-        for i in 0..n as usize {
-            let _ = parser.push(tx.bits[tx.index + i]);
+        for &bit in &tx.bits[tx.index..tx.index + n as usize] {
+            if !self.rx.in_arbitration() {
+                break;
+            }
+            let _ = self.rx.push(bit);
         }
         tx.index += n as usize;
         debug_assert!(tx.index < tx.bits.len());
@@ -967,10 +920,8 @@ impl Controller {
     /// in O(1); otherwise `scratch` has consumed the event bit and must be
     /// discarded.
     pub(crate) fn receive_stretch_cap(&self, bus: u64, n: u32, scratch: &mut RxParser) -> u32 {
-        let State::Receiving { parser } = &self.state else {
-            unreachable!("receive_stretch_cap on a non-receiving controller")
-        };
-        parser.copy_into(scratch);
+        debug_assert!(matches!(self.state, State::Receiving));
+        self.rx.copy_into(scratch);
         for i in 0..n {
             if scratch.push(packed::level_at(bus, i)) != RxEvent::Continue {
                 return i;
@@ -983,21 +934,17 @@ impl Controller {
     /// [`Controller::receive_stretch_cap`] (which must have covered exactly
     /// the committed stretch length, event-free).
     pub(crate) fn commit_receive_swap(&mut self, scratch: &mut RxParser) {
-        let State::Receiving { parser } = &mut self.state else {
-            unreachable!("commit_receive_swap on a non-receiving controller")
-        };
-        std::mem::swap(parser, scratch);
+        debug_assert!(matches!(self.state, State::Receiving));
+        std::mem::swap(&mut self.rx, scratch);
     }
 
     /// Commits `n` event-free received bits by replaying them into the
     /// live parser (used when the stretch was shortened after this node's
     /// dry run, so the scratch parser overshot).
     pub(crate) fn commit_receive_push(&mut self, bus: u64, n: u32) {
-        let State::Receiving { parser } = &mut self.state else {
-            unreachable!("commit_receive_push on a non-receiving controller")
-        };
+        debug_assert!(matches!(self.state, State::Receiving));
         for i in 0..n {
-            let event = parser.push(packed::level_at(bus, i));
+            let event = self.rx.push(packed::level_at(bus, i));
             debug_assert_eq!(event, RxEvent::Continue);
         }
     }
@@ -1048,39 +995,6 @@ impl Controller {
                 }
             }
             _ => unreachable!("commit_passive_word on a non-countdown controller"),
-        }
-    }
-
-    fn sample_bus_off(
-        &mut self,
-        recessive_run: u8,
-        sequences: u32,
-        bus: Level,
-        out: &mut StepOutput,
-    ) -> State {
-        if bus.is_dominant() {
-            return State::BusOff {
-                recessive_run: 0,
-                sequences,
-            };
-        }
-        let run = recessive_run + 1;
-        if run as u32 == counters::RECOVERY_SEQUENCE_BITS {
-            let sequences = sequences + 1;
-            if sequences >= counters::RECOVERY_SEQUENCES {
-                self.counters.reset_after_recovery();
-                out.events.push(EventKind::Recovered);
-                return State::Idle;
-            }
-            State::BusOff {
-                recessive_run: 0,
-                sequences,
-            }
-        } else {
-            State::BusOff {
-                recessive_run: run,
-                sequences,
-            }
         }
     }
 }

@@ -61,9 +61,21 @@ pub struct RxParser {
 impl RxParser {
     /// Creates a parser expecting the SOF as its first bit.
     pub fn new() -> Self {
+        Self::with_buffer(Vec::with_capacity(128))
+    }
+
+    /// Returns the parser to its initial state (expecting the SOF), keeping
+    /// its buffer allocation: a controller resets one parser per frame
+    /// instead of allocating a new one.
+    pub fn reset(&mut self) {
+        *self = Self::with_buffer(std::mem::take(&mut self.unstuffed));
+    }
+
+    fn with_buffer(mut unstuffed: Vec<Level>) -> Self {
+        unstuffed.clear();
         RxParser {
             destuffer: Destuffer::new(),
-            unstuffed: Vec::with_capacity(128),
+            unstuffed,
             phase: Phase::Stuffed,
             layout: None,
             crc: Crc15::new(),
@@ -494,6 +506,26 @@ mod tests {
         let mut parser = RxParser::new();
         let events = feed(&mut parser, &wire.bits);
         assert_eq!(*events.last().unwrap(), RxEvent::Done(f));
+    }
+
+    #[test]
+    fn reset_parser_matches_a_fresh_one() {
+        let f = frame(0x2A5, &[9, 8, 7]);
+        let wire = stuff_frame(&f);
+        // Leave the parser mid-frame and faulted, then reuse it.
+        let mut parser = RxParser::new();
+        feed(&mut parser, &wire.bits[..30]);
+        // Dominant bits inside the stuffed region end in a stuff fault.
+        while !parser.is_finished() {
+            parser.push(Level::Dominant);
+        }
+        parser.reset();
+        assert_eq!(parser.unstuffed_len(), 0);
+        assert_eq!(parser.id(), None);
+        assert_eq!(
+            feed(&mut parser, &wire.bits),
+            feed(&mut RxParser::new(), &wire.bits)
+        );
     }
 
     #[test]

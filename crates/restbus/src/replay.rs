@@ -22,6 +22,10 @@ struct Slot {
 /// sender's share of it) at its configured period.
 pub struct ReplayApp {
     slots: Vec<Slot>,
+    /// The earliest `next_due` over all slots (`None` without slots), so
+    /// a poll before it answers in O(1); slots are rescanned only when
+    /// one fires.
+    earliest: Option<u64>,
     generated: u64,
 }
 
@@ -58,8 +62,9 @@ impl ReplayApp {
                     next_due: (i as u64 * 131) % period_bits.max(1),
                 }
             })
-            .collect();
+            .collect::<Vec<_>>();
         ReplayApp {
+            earliest: earliest_due(&slots),
             slots,
             generated: 0,
         }
@@ -76,24 +81,27 @@ impl ReplayApp {
     }
 }
 
+fn earliest_due(slots: &[Slot]) -> Option<u64> {
+    slots.iter().map(|slot| slot.next_due).min()
+}
+
 impl Application for ReplayApp {
+    /// Hands out the first due slot in matrix order; slots due on the same
+    /// bit come out one per poll, in that order.
     fn poll(&mut self, now: BitInstant) -> Option<CanFrame> {
-        for slot in &mut self.slots {
-            if now.bits() >= slot.next_due {
-                slot.next_due += slot.period_bits;
-                self.generated += 1;
-                return Some(slot.frame);
-            }
+        if self.earliest.is_none_or(|due| now.bits() < due) {
+            return None;
         }
-        None
+        let slot = self.slots.iter_mut().find(|s| now.bits() >= s.next_due)?;
+        slot.next_due += slot.period_bits;
+        let frame = slot.frame;
+        self.generated += 1;
+        self.earliest = earliest_due(&self.slots);
+        Some(frame)
     }
 
     fn next_activity(&self, _now: BitInstant) -> Option<BitInstant> {
-        self.slots
-            .iter()
-            .map(|slot| slot.next_due)
-            .min()
-            .map(BitInstant::from_bits)
+        self.earliest.map(BitInstant::from_bits)
     }
 }
 
@@ -156,6 +164,73 @@ mod tests {
                 b.poll(BitInstant::from_bits(t))
             );
         }
+    }
+
+    #[test]
+    fn cached_earliest_due_matches_a_full_scan() {
+        let messages = (0..12u16)
+            .map(|i| Message {
+                id: CanId::from_raw(0x100 + 0x10 * i),
+                period_ms: [1, 2, 5][usize::from(i % 3)],
+                dlc: (i % 9) as u8,
+                sender: "ecu".into(),
+                name: format!("M{i}"),
+            })
+            .collect();
+        let mut app = ReplayApp::for_matrix(&CommMatrix::new("dense", BusSpeed::K500, messages));
+        // Four slots due on the same bit from the start.
+        for slot in &mut app.slots[3..7] {
+            slot.next_due = 40;
+        }
+        app.earliest = earliest_due(&app.slots);
+
+        // Brute-force reference: the first due slot in matrix order,
+        // found by scanning every slot on every poll.
+        let mut reference: Vec<(CanFrame, u64, u64)> = app
+            .slots
+            .iter()
+            .map(|s| (s.frame, s.period_bits, s.next_due))
+            .collect();
+        let mut scan = |now: u64| {
+            let slot = reference.iter_mut().find(|s| now >= s.2)?;
+            slot.2 += slot.1;
+            Some(slot.0)
+        };
+
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut shared_bits = 0;
+        let mut t = 0u64;
+        while t < 400_000 {
+            // Poll like a node does (up to 8 frames per bit); every bit at
+            // first, then at irregular strides so several slots fall due
+            // between two polls.
+            let now = BitInstant::from_bits(t);
+            let mut fired = 0;
+            for _ in 0..8 {
+                let frame = app.poll(now);
+                assert_eq!(app.earliest, app.slots.iter().map(|s| s.next_due).min());
+                if let Some(f) = frame {
+                    got.push((t, f.id().raw()));
+                    fired += 1;
+                }
+                if let Some(f) = scan(t) {
+                    want.push((t, f.id().raw()));
+                }
+                if frame.is_none() {
+                    break;
+                }
+            }
+            if fired > 1 {
+                shared_bits += 1;
+            }
+            t += if t < 50_000 { 1 } else { 1 + t % 97 };
+        }
+        assert_eq!(got, want);
+        assert!(got.len() > 1_000, "{}", got.len());
+        assert!(
+            shared_bits > 10,
+            "{shared_bits} bits with several due slots"
+        );
     }
 
     #[test]
